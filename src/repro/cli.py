@@ -52,7 +52,6 @@ def _write_text(path: str | Path, text: str) -> None:
 
 _IR_MODE_CHOICES = ("ideal", "reference", "fixed_point", "nodal")
 _BACKEND_CHOICES = ("numpy", "torch")
-_NODAL_SOLVER_CHOICES = ("lu", "schur", "cg")
 
 
 def _add_programming_options(
@@ -111,15 +110,6 @@ def _add_serving_options(parser: argparse.ArgumentParser) -> None:
         help=(
             "array namespace to serve with (default: the snapshot's "
             "recorded serving default)"
-        ),
-    )
-    parser.add_argument(
-        "--nodal-solver", choices=_NODAL_SOLVER_CHOICES, default=None,
-        help=(
-            "solver for ir_mode=nodal reads: lu (bit-exact oracle), "
-            "schur (structure-exploiting direct) or cg (preconditioned "
-            "iterative); default keeps the hardware's own selection "
-            "(see docs/ir_drop.md)"
         ),
     )
     parser.add_argument("--max-batch", type=int, default=32)
@@ -412,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     bnodal = bench_sub.add_parser(
         "nodal",
         help=(
-            "nodal-solver benchmark: lu/schur/cg wall-clock across "
-            "crossbar sizes plus Monte-Carlo trial throughput "
-            "(see docs/ir_drop.md)"
+            "nodal benchmark: exact Schur reads against the "
+            "splu reference across crossbar sizes, plus Monte-Carlo "
+            "trial throughput (see docs/ir_drop.md)"
         ),
     )
     bnodal.add_argument(
@@ -423,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bnodal.add_argument(
         "--sizes", type=int, nargs="+", default=None,
-        help="square crossbar sizes to sweep (default: 64 128 256)",
+        help=(
+            "square crossbar sizes to sweep (default: 49x24, 196x10, "
+            "784x10, 64, 128 and 256)"
+        ),
     )
     bnodal.add_argument(
         "--seed", type=int, default=1234,
@@ -598,7 +591,6 @@ def _build_service(args: argparse.Namespace):
         max_queue=args.max_queue,
         default_deadline_s=deadline,
         backend=_resolve_cli_backend(args.backend),
-        nodal_solver=args.nodal_solver,
     )
 
 
@@ -791,7 +783,6 @@ def _build_fleet_service(args: argparse.Namespace, replicas: int):
         max_queue=getattr(args, "max_queue", 128),
         default_deadline_s=None if deadline is None else deadline / 1e3,
         backend=_resolve_cli_backend(getattr(args, "backend", None)),
-        nodal_solver=getattr(args, "nodal_solver", None),
     )
 
 
@@ -882,7 +873,6 @@ def _build_pipeline_service(args: argparse.Namespace, replicas: int):
         max_queue=getattr(args, "max_queue", 256),
         default_deadline_s=None if deadline is None else deadline / 1e3,
         backend=_resolve_cli_backend(getattr(args, "backend", None)),
-        nodal_solver=getattr(args, "nodal_solver", None),
     )
 
 

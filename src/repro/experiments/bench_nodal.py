@@ -1,12 +1,17 @@
-"""Nodal-solver benchmark: lu vs schur vs cg, plus MC trial throughput.
+"""Nodal-solver benchmark: exact Schur vs splu, plus MC trial throughput.
 
 Two measurements back the solver subsystem of :mod:`repro.xbar.solvers`
 (see ``docs/ir_drop.md``):
 
-* **Size sweep** -- one cold read (setup + batched solve) per solver
-  across square crossbar sizes, with every non-oracle result checked
-  against the ``lu`` answer on the spot.  This is the serving-shaped
-  cost: a freshly programmed state answering its first query batch.
+* **Size sweep** -- the exact Schur path every network answers through
+  against the generic sparse-LU reference
+  (:class:`~repro.xbar.nodal.ReferenceNetwork`) across the served tile
+  shapes, the paper's tall-thin shapes and square arrays.  Each side
+  records one cold read (setup + batched read: a freshly programmed
+  state answering its first query batch) and the median warm read
+  (the same batch against the cached factorisation, the served
+  steady state), and the Schur currents are checked against the
+  reference on the spot.
 * **Monte-Carlo throughput** -- the Fig. 2 column workload in nodal
   mode: the per-trial baseline builds a fresh sparse LU for every
   variation draw (the pre-subsystem cost), while the trial-stacked
@@ -31,10 +36,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
-from repro.config import NODAL_SOLVERS, DeviceConfig
+from repro.config import DeviceConfig
 from repro.devices.variation import lognormal_multipliers
 from repro.runtime import map_trials, map_trials_batched
-from repro.xbar.nodal import CrossbarNetwork
+from repro.xbar.nodal import CrossbarNetwork, ReferenceNetwork
 from repro.xbar.solvers import CG_CURRENT_RTOL, nodal_read_trial_stack
 
 __all__ = [
@@ -44,8 +49,14 @@ __all__ = [
     "nodal_trial_throughput",
 ]
 
-#: Square geometries of the size sweep (the ISSUE's {64^2, 128^2, 256^2}).
-DEFAULT_SIZES = ((64, 64), (128, 128), (256, 256))
+#: Geometries of the size sweep: the served layer-1 tile, the paper's
+#: tall-thin shapes, and square arrays (where Schur loses to splu).
+DEFAULT_SIZES = (
+    (49, 24), (196, 10), (784, 10), (64, 64), (128, 128), (256, 256),
+)
+
+#: Warm reads timed per geometry and path (the median is recorded).
+WARM_READS = 5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,7 +105,7 @@ def _nodal_column_trial(
 ) -> np.ndarray:
     """Per-trial baseline: fresh sparse LU for every variation draw."""
     g = _trial_conductance(rng, cfg)
-    network = CrossbarNetwork(g, cfg.r_wire, solver="lu")
+    network = ReferenceNetwork(g, cfg.r_wire)
     return network.read(np.ones(cfg.n_devices), cfg.v_read)
 
 
@@ -124,12 +135,28 @@ def _nodal_column_trial_batch(
         x,
         cfg.r_wire,
         v_read=cfg.v_read,
-        solver="cg",
         precond_g=nominal,
         backend=bk,
     )
     # (T, 1, cols) -> (T, cols); plain indexing works on every backend.
     return currents[:, 0, :]
+
+
+def _time_reads(network: CrossbarNetwork, x: np.ndarray) -> dict:
+    """Cold and median warm wall-clock of ``network.read_batch(x)``."""
+    t0 = time.perf_counter()
+    currents = network.read_batch(x)
+    cold = time.perf_counter() - t0
+    warm = []
+    for _ in range(WARM_READS):
+        t0 = time.perf_counter()
+        network.read_batch(x)
+        warm.append(time.perf_counter() - t0)
+    return {
+        "currents": currents,
+        "seconds": round(cold, 4),
+        "warm_read_ms": round(1e3 * float(np.median(warm)), 4),
+    }
 
 
 def solver_size_sweep(
@@ -139,12 +166,13 @@ def solver_size_sweep(
     r_wire: float = 2.5,
     seed: int = 0,
 ) -> list[dict]:
-    """Cold read wall-clock per solver across crossbar sizes.
+    """Exact Schur reads against the splu reference across sizes.
 
-    Each entry times ``CrossbarNetwork(...).read_batch(x)`` -- setup
-    plus a ``batch``-wide multi-RHS solve -- per solver on the same
-    conductance state, and records each non-oracle solver's maximum
-    relative column-current error against the ``lu`` answer.
+    Each entry times a cold and a warm ``read_batch(x)`` of a
+    ``batch``-wide input on the same conductance state, once through
+    :class:`~repro.xbar.nodal.CrossbarNetwork` (Schur) and once through
+    :class:`~repro.xbar.nodal.ReferenceNetwork` (splu), and records the
+    maximum relative column-current error of Schur against splu.
     """
     device = DeviceConfig()
     g_nominal = 1.0 / (10.0 * device.r_on)
@@ -157,23 +185,18 @@ def solver_size_sweep(
             device.g_on,
         )
         x = rng.uniform(size=(batch, n))
-        entry: dict = {"n": int(n), "m": int(m), "batch": int(batch)}
-        reference = None
-        for solver in NODAL_SOLVERS:
-            network = CrossbarNetwork(g, r_wire, solver=solver)
-            t0 = time.perf_counter()
-            currents = network.read_batch(x)
-            elapsed = time.perf_counter() - t0
-            record = {"seconds": round(elapsed, 4)}
-            if solver == "lu":
-                reference = currents
-            else:
-                scale = float(np.max(np.abs(reference)))
-                record["rel_error_vs_lu"] = float(
-                    np.max(np.abs(currents - reference)) / scale
-                )
-            entry[solver] = record
-        results.append(entry)
+        schur = _time_reads(CrossbarNetwork(g, r_wire), x)
+        splu = _time_reads(ReferenceNetwork(g, r_wire), x)
+        reference = splu.pop("currents")
+        currents = schur.pop("currents")
+        schur["rel_error_vs_splu"] = float(
+            np.max(np.abs(currents - reference))
+            / np.max(np.abs(reference))
+        )
+        results.append({
+            "n": int(n), "m": int(m), "batch": int(batch),
+            "schur": schur, "splu": splu,
+        })
     return results
 
 

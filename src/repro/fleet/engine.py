@@ -65,8 +65,6 @@ class ShardReplica:
         log: Telemetry sink shared with the rest of the fleet.
         backend: Array namespace for the replica's reads (``None``
             adopts the shard artifact's recorded default).
-        nodal_solver: Solver for ``ir_mode="nodal"`` reads (``None``
-            keeps the hardware's own selection).
         name_prefix: Prepended to the replica name (and thus its
             telemetry lane label).  A multi-fleet composition such as
             ``repro.pipeline`` uses ``"layer<k>/"`` so one shared run
@@ -87,7 +85,6 @@ class ShardReplica:
         min_retry_after_s: float = 0.05,
         log: RunLog | None = None,
         backend: ArrayBackend | str | None = None,
-        nodal_solver: str | None = None,
         name_prefix: str = "",
     ):
         self.artifact = artifact
@@ -100,7 +97,7 @@ class ShardReplica:
         )
         self.engine = InferenceEngine.from_artifact(
             artifact, ir_mode=ir_mode, microbatch=microbatch,
-            backend=backend, nodal_solver=nodal_solver,
+            backend=backend,
         )
         self.monitor = DriftMonitor(
             self.engine,

@@ -55,8 +55,6 @@ class FleetService(ServiceLifecycle):
             when omitted.
         backend: Array namespace every replica reads with; ``None``
             adopts the fleet plan's recorded serving default.
-        nodal_solver: Solver every replica uses for ``ir_mode="nodal"``
-            reads (``None`` keeps the hardware's own selection).
         label_prefix: Prepended to every replica's telemetry lane
             label (``repro.pipeline`` passes ``"layer<k>/"`` so one
             shared run log splits per layer).
@@ -76,7 +74,6 @@ class FleetService(ServiceLifecycle):
         min_live: int = 1,
         log: RunLog | None = None,
         backend: ArrayBackend | str | None = None,
-        nodal_solver: str | None = None,
         label_prefix: str = "",
     ):
         if replicas < 1:
@@ -109,7 +106,6 @@ class FleetService(ServiceLifecycle):
                         min_retry_after_s=min_retry_after_s,
                         log=self.log,
                         backend=backend,
-                        nodal_solver=nodal_solver,
                         name_prefix=self.label_prefix,
                     )
                     for r in range(self.replicas)

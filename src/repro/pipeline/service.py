@@ -56,9 +56,6 @@ class PipelineService(ServiceLifecycle):
             (or a private one) when omitted.
         backend: Array namespace every replica reads with; ``None``
             adopts the pipeline's recorded serving default.
-        nodal_solver: Solver every replica in every layer uses for
-            ``ir_mode="nodal"`` reads (``None`` keeps the hardware's
-            own selection).
     """
 
     def __init__(
@@ -75,7 +72,6 @@ class PipelineService(ServiceLifecycle):
         min_live: int = 1,
         log: RunLog | None = None,
         backend: ArrayBackend | str | None = None,
-        nodal_solver: str | None = None,
     ):
         self.artifact = artifact
         self.kind = artifact.config.kind
@@ -106,7 +102,6 @@ class PipelineService(ServiceLifecycle):
                 min_live=min_live,
                 log=self.log,
                 backend=backend,
-                nodal_solver=nodal_solver,
                 label_prefix=f"layer{i}/",
             )
             for i, fleet in enumerate(artifact.layers)

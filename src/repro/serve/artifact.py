@@ -213,7 +213,7 @@ class ProgrammedArray:
         """
         m = self.metadata
         device = DeviceConfig(**m["device"])
-        config = CrossbarConfig(**m["crossbar"])
+        config = CrossbarConfig(**_crossbar_fields(m["crossbar"]))
         scaler = WeightScaler(self.w_max, device)
         diff_sense = None
         if m.get("adc") is not None:
@@ -243,6 +243,17 @@ class ProgrammedArray:
                 self.mapping.inputs_to_physical(self.x_mean)
             )
         return pair
+
+
+def _crossbar_fields(recorded: dict) -> dict:
+    """Recorded crossbar metadata as :class:`CrossbarConfig` fields.
+
+    Snapshots written while the nodal solve was a per-array setting
+    carry a ``"nodal_solver"`` key; the exact solver is no longer
+    selectable, so that one key is dropped.  Any other unknown key
+    still fails loudly.
+    """
+    return {k: v for k, v in recorded.items() if k != "nodal_solver"}
 
 
 def _snapshot_metadata(

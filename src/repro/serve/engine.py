@@ -1,11 +1,11 @@
 """Vectorized batched forward pass over a programmed crossbar.
 
 The expensive part of a hardware-faithful read is the IR-drop solve:
-one sparse nodal factorization per crossbar state, one triangular
-solve per input vector.  Reading queries one at a time pays the Python
-and solver dispatch overhead per query; reading them as a matrix lets
-one factorization serve the whole batch (multi-right-hand-side solve),
-which is where the serving throughput comes from.
+one nodal factorization per crossbar state, then a small product per
+input vector.  Reading queries one at a time pays the Python and
+dispatch overhead per query; reading them as a matrix lets one call
+serve the whole batch, which is where the serving throughput comes
+from.
 
 The engine wraps any matvec-capable target (a
 :class:`~repro.xbar.pair.DifferentialCrossbar` or a
@@ -39,11 +39,6 @@ class InferenceEngine:
             bit-identical reference path; a non-numpy backend is
             forwarded to the target's ``matvec`` and the scores are
             converted back, so the engine's outputs are always numpy.
-        nodal_solver: Solver for ``ir_mode="nodal"`` reads (one of
-            :data:`~repro.config.NODAL_SOLVERS`); ``None`` keeps the
-            target's own selection (config pin or ambient runtime).
-            Pinned on the target, so it applies to every forward pass
-            regardless of which runtime context later runs them.
     """
 
     def __init__(
@@ -53,7 +48,6 @@ class InferenceEngine:
         ir_mode: str = "ideal",
         microbatch: int = 64,
         backend: ArrayBackend | str | None = None,
-        nodal_solver: str | None = None,
     ):
         if microbatch < 1:
             raise ValueError(f"microbatch must be >= 1, got {microbatch}")
@@ -62,13 +56,6 @@ class InferenceEngine:
         self.ir_mode = ir_mode
         self.microbatch = int(microbatch)
         self.backend = None if backend is None else resolve_backend(backend)
-        self.nodal_solver = nodal_solver
-        if nodal_solver is not None:
-            # Tolerate matvec-only targets (test doubles): the knob
-            # only matters for hardware that actually solves nodally.
-            pin = getattr(target, "set_nodal_solver", None)
-            if pin is not None:
-                pin(nodal_solver)
 
     @classmethod
     def from_artifact(
@@ -77,7 +64,6 @@ class InferenceEngine:
         ir_mode: str | None = None,
         microbatch: int = 64,
         backend: ArrayBackend | str | None = None,
-        nodal_solver: str | None = None,
     ) -> "InferenceEngine":
         """Reconstruct the hardware from a snapshot and wrap it.
 
@@ -92,7 +78,6 @@ class InferenceEngine:
             ir_mode=ir_mode if ir_mode is not None else artifact.ir_mode,
             microbatch=microbatch,
             backend=backend,
-            nodal_solver=nodal_solver,
         )
 
     @property

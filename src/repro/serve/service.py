@@ -55,8 +55,6 @@ class CrossbarService(ServiceLifecycle):
         backend: Array namespace for the hardware reads; ``None``
             adopts the artifact's recorded serving default (see
             :class:`~repro.serve.engine.InferenceEngine`).
-        nodal_solver: Solver for ``ir_mode="nodal"`` reads; ``None``
-            keeps the hardware's own selection.
     """
 
     def __init__(
@@ -71,7 +69,6 @@ class CrossbarService(ServiceLifecycle):
         rng: np.random.Generator | None = None,
         log: RunLog | None = None,
         backend: ArrayBackend | str | None = None,
-        nodal_solver: str | None = None,
     ):
         self.artifact = artifact
         if rng is None:
@@ -93,7 +90,6 @@ class CrossbarService(ServiceLifecycle):
             ir_mode=ir_mode if ir_mode is not None else artifact.ir_mode,
             microbatch=microbatch,
             backend=backend,
-            nodal_solver=nodal_solver,
         )
         self.monitor = DriftMonitor(
             self.engine,

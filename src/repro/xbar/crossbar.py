@@ -9,14 +9,11 @@ currents on the bit lines (Section 2.2.1 of the paper).
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
 from repro.circuits.sensing import CurrentSense
 from repro.config import CrossbarConfig, DeviceConfig, VariationConfig
-from repro.runtime.config import current_runtime
 from repro.devices.memristor import MemristorArray
 from repro.xbar.ir_drop import (
     read_column_gains,
@@ -105,7 +102,7 @@ class Crossbar:
     * ``'reference'`` -- effective conductances attenuated at a cached
       reference input (cheap, used inside large sweeps).
     * ``'fixed_point'`` -- per-sample fixed-point wire solve.
-    * ``'nodal'`` -- full sparse nodal analysis (ground truth).
+    * ``'nodal'`` -- exact nodal analysis (ground truth).
     """
 
     def __init__(
@@ -197,42 +194,21 @@ class Crossbar:
             self._reference_version = version
         return self._reference_factors
 
-    def _resolve_nodal_solver(self) -> str:
-        """The active nodal solver: config pin, else the ambient runtime."""
-        if self.config.nodal_solver is not None:
-            return self.config.nodal_solver
-        return current_runtime().nodal_solver
-
-    def set_nodal_solver(self, solver: str | None) -> None:
-        """Pin the nodal solver for this crossbar (``None`` = ambient).
-
-        Validated against :data:`~repro.config.NODAL_SOLVERS` by the
-        config; takes effect on the next nodal read (cached
-        factorisations are per-solver, so switching never refactorises
-        the paths already built).
-        """
-        self.config = dataclasses.replace(self.config, nodal_solver=solver)
-
     def _get_network(self) -> CrossbarNetwork:
         """Nodal network of the current state, factorisation cached.
 
-        The solve setup (factorisation or preconditioner) is the
-        dominant cost of a nodal read; caching it keyed on the
-        device-state version means a batch of queries against an
-        unchanged programmed state pays for one setup, while any
-        reprogramming, drift aging or defect injection transparently
-        invalidates it.  The solver selection is re-resolved on every
-        call so runtime/config changes apply without a rebuild.
+        The factorisation is the dominant cost of a nodal read; caching
+        it keyed on the device-state version means a batch of queries
+        against an unchanged programmed state pays for one setup, while
+        any reprogramming, drift aging or defect injection
+        transparently invalidates it.
         """
         version = self.array.state_version
-        solver = self._resolve_nodal_solver()
         if self._network is None or self._network_version != version:
             self._network = CrossbarNetwork(
-                self.conductance, self.config.r_wire, solver=solver
+                self.conductance, self.config.r_wire
             )
             self._network_version = version
-        elif self._network.solver != solver:
-            self._network.set_solver(solver)
         return self._network
 
     def read(

@@ -1,4 +1,4 @@
-"""Full nodal analysis of a memristor crossbar, with pluggable solvers.
+"""Full nodal analysis of a memristor crossbar.
 
 This is the circuit-level ground truth for the IR-drop studies of
 Section 3.2.  The crossbar is modelled as the complete resistive
@@ -27,25 +27,19 @@ same code answers both questions of the paper:
   V, one bit line at 0, everything else at V/2; the output of interest
   is the voltage actually delivered across the selected cell.
 
-Three interchangeable solvers answer the system (see
-:mod:`repro.xbar.solvers` and ``docs/ir_drop.md``):
+One exact solver answers every solve and read:
+:class:`repro.xbar.solvers.SchurFactor` eliminates the top plane and
+factorises the banded bottom-plane Schur complement once per
+conductance state (see ``docs/ir_drop.md``).  It is batch-invariant: a
+batched solve or read returns, bit for bit, what the same configuration
+returns alone, which is what lets a served answer be independent of how
+the scheduler batched it.
 
-* ``"lu"`` -- generic sparse LU (``splu``) over the full ``2*n*m``
-  Laplacian.  The bit-exact oracle every other path is tested against.
-* ``"schur"`` -- eliminate the top plane by banded ladder solves and
-  factorise only the reduced SPD ``n*m`` system (bandwidth ``m``).
-  Matches the oracle to <= 1e-9 relative error on column currents.
-* ``"cg"`` -- matrix-free conjugate gradients preconditioned by a
-  factorisation of the *nominal* conductance state, which
-  :meth:`CrossbarNetwork.update_conductance` deliberately keeps: a
-  Monte-Carlo sweep refactorises nothing, each variation draw only
-  iterates.  Deterministic (fixed tolerance and iteration order) and
-  accurate to the documented :data:`repro.xbar.solvers.CG_CURRENT_RTOL`.
-
-The sparsity *structure* (COO index arrays, wire values, wire-fixed
-diagonal) depends only on the geometry, so it is assembled once and
-reused across every ``update_conductance``: a conductance change is a
-values-only rewrite, never an index rebuild.
+:class:`ReferenceNetwork` answers the same circuit with a generic sparse
+LU (``splu``) of the full ``2*n*m`` Laplacian.  It shares no code with
+the Schur path beyond the right-hand sides, which makes it the
+reference the tests and ``repro bench nodal`` compare against; nothing
+in the serving or experiment paths selects it.
 """
 
 from __future__ import annotations
@@ -53,17 +47,28 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.sparse import coo_matrix, csc_matrix
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from repro.xbar.solvers import (
-    NODAL_SOLVERS,
-    SchurFactor,
-    cg_nodal_solve,
-    validate_solver,
-)
+from repro.xbar.solvers import SchurFactor, _wire_degrees, check_circuit
 
-__all__ = ["NodalSolution", "CrossbarNetwork", "NODAL_SOLVERS"]
+__all__ = ["NodalSolution", "CrossbarNetwork", "ReferenceNetwork"]
+
+
+def _drive_rhs(
+    n: int, m: int, r_wire: float, v_rows: np.ndarray, v_cols: np.ndarray
+) -> np.ndarray:
+    """Right-hand sides ``(2*n*m, B)`` of ``B`` driver configurations.
+
+    Word line ``i`` is driven at ``v_rows[b, i]`` through one wire
+    segment at its left end, bit line ``j`` held at ``v_cols[b, j]``
+    through one segment at its bottom end.
+    """
+    g_w = 1.0 / r_wire
+    rhs = np.zeros((v_rows.shape[0], 2, n, m))
+    rhs[:, 0, :, 0] = v_rows * g_w
+    rhs[:, 1, n - 1, :] = v_cols * g_w
+    return rhs.reshape(v_rows.shape[0], 2 * n * m).T
 
 
 @dataclasses.dataclass
@@ -92,222 +97,48 @@ class CrossbarNetwork:
 
     Args:
         conductance: Memristor conductance matrix ``G``, shape
-            ``(n, m)``, in Siemens.
-        r_wire: Wire segment resistance in Ohm (> 0).
-        solver: Which factorisation answers the solves -- one of
-            :data:`~repro.config.NODAL_SOLVERS` (default ``"lu"``).
+            ``(n, m)``, in Siemens; finite and strictly positive.
+        r_wire: Wire segment resistance in Ohm (finite, > 0).
 
     The conductance matrix is captured at construction; build a new
     network (or call :meth:`update_conductance`) after reprogramming.
-    The state captured at construction also becomes the *nominal*
-    state of the cg preconditioner, which ``update_conductance``
-    deliberately does not invalidate (see
-    :meth:`set_preconditioner_state`).
+    The factorisation is built on the first solve and reused until the
+    conductances change.
     """
 
-    def __init__(
-        self, conductance: np.ndarray, r_wire: float, solver: str = "lu"
-    ):
+    #: Factorisation answering the solves, built from ``(g, r_wire)``.
+    _factor_type = SchurFactor
+
+    def __init__(self, conductance: np.ndarray, r_wire: float):
         conductance = np.asarray(conductance, dtype=float)
         if conductance.ndim != 2:
             raise ValueError("conductance must be a 2-D matrix")
-        if np.any(conductance <= 0):
-            raise ValueError("conductances must be strictly positive")
-        if r_wire <= 0:
-            raise ValueError(
-                f"r_wire must be > 0 for nodal analysis, got {r_wire}"
-            )
-        self.g = conductance
+        self.g = check_circuit(conductance, r_wire)
         self.n, self.m = conductance.shape
         self.r_wire = float(r_wire)
-        self.solver = validate_solver(solver)
-        self._structure: dict[str, np.ndarray] | None = None
-        self._lu = None
-        self._schur: SchurFactor | None = None
-        self._precond: SchurFactor | None = None
-        self._precond_g = self.g.copy()
-        #: Blocked iterations of the most recent cg solve (diagnostic).
-        self.last_cg_iterations = 0
-
-    # ------------------------------------------------------------------
-    # solver selection
-    # ------------------------------------------------------------------
-    def set_solver(self, solver: str) -> None:
-        """Switch the answering solver; cached factors stay per-path."""
-        self.solver = validate_solver(solver)
-
-    def set_preconditioner_state(
-        self, conductance: np.ndarray | None = None
-    ) -> None:
-        """Re-anchor the cg preconditioner on a nominal state.
-
-        Args:
-            conductance: The nominal (pre-variation) conductance state
-                to factorise; the network's *current* state when
-                ``None``.
-
-        The preconditioner survives :meth:`update_conductance` by
-        design -- that is what lets a Monte-Carlo chunk reuse one
-        factorisation across every draw -- so re-anchor it explicitly
-        when the network moves to a genuinely different operating point
-        (e.g. after reprogramming to new targets).
-        """
-        g = self.g if conductance is None else np.asarray(
-            conductance, dtype=float
-        )
-        if g.shape != (self.n, self.m):
-            raise ValueError(
-                f"expected shape {(self.n, self.m)}, got {g.shape}"
-            )
-        if np.any(g <= 0):
-            raise ValueError("conductances must be strictly positive")
-        self._precond_g = g.copy()
-        self._precond = None
-
-    # ------------------------------------------------------------------
-    # assembly
-    # ------------------------------------------------------------------
-    def _top(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return i * self.m + j
-
-    def _bottom(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        return self.n * self.m + i * self.m + j
-
-    def _build_structure(self) -> dict[str, np.ndarray]:
-        """Geometry-only sparsity structure, assembled exactly once.
-
-        Returns the COO index arrays with the memristor entries first
-        (two directed entries per device, then the fixed wire entries,
-        then the diagonal), the constant wire values, and the
-        wire-resistance part of the diagonal.  ``update_conductance``
-        then only rewrites values: the device entries are ``-g`` twice
-        and the diagonal is wire-fixed plus a scatter of ``g`` onto
-        both planes.
-        """
-        n, m = self.n, self.m
-        g_w = 1.0 / self.r_wire
-        size = 2 * n * m
-
-        ii, jj = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
-        top_idx = self._top(ii.ravel(), jj.ravel())
-        bottom_idx = self._bottom(ii.ravel(), jj.ravel())
-        rows = [top_idx, bottom_idx]
-        cols = [bottom_idx, top_idx]
-
-        wire_rows: list[np.ndarray] = []
-        wire_cols: list[np.ndarray] = []
-        wire_vals: list[np.ndarray] = []
-        wire_diag = np.zeros(size)
-
-        def add_wire_edges(a: np.ndarray, b: np.ndarray) -> None:
-            wire_rows.extend([a, b])
-            wire_cols.extend([b, a])
-            wire_vals.append(np.full(2 * a.size, -g_w))
-            np.add.at(wire_diag, a, g_w)
-            np.add.at(wire_diag, b, g_w)
-
-        # Word-line segments: top(i,j) -- top(i,j+1).
-        ih, jh = np.meshgrid(np.arange(n), np.arange(m - 1), indexing="ij")
-        ih, jh = ih.ravel(), jh.ravel()
-        if ih.size:
-            add_wire_edges(self._top(ih, jh), self._top(ih, jh + 1))
-
-        # Bit-line segments: bottom(i,j) -- bottom(i+1,j).
-        iv, jv = np.meshgrid(np.arange(n - 1), np.arange(m), indexing="ij")
-        iv, jv = iv.ravel(), jv.ravel()
-        if iv.size:
-            add_wire_edges(self._bottom(iv, jv), self._bottom(iv + 1, jv))
-
-        # Driver connections add g_w to the diagonal of boundary nodes;
-        # the source current enters through the right-hand side.
-        left = self._top(np.arange(n), np.zeros(n, dtype=int))
-        np.add.at(wire_diag, left, g_w)
-        bottom = self._bottom(np.full(m, n - 1), np.arange(m))
-        np.add.at(wire_diag, bottom, g_w)
-
-        diag_idx = np.arange(size)
-        return {
-            "rows": np.concatenate(rows + wire_rows + [diag_idx]),
-            "cols": np.concatenate(cols + wire_cols + [diag_idx]),
-            "wire_vals": (
-                np.concatenate(wire_vals) if wire_vals else np.zeros(0)
-            ),
-            "wire_diag": wire_diag,
-            "left": left,
-            "bottom": bottom,
-        }
-
-    def _get_structure(self) -> dict[str, np.ndarray]:
-        if self._structure is None:
-            self._structure = self._build_structure()
-        return self._structure
-
-    def _assemble_lu(self) -> None:
-        """Values-only rebuild of the LU factor on cached structure."""
-        st = self._get_structure()
-        n, m = self.n, self.m
-        size = 2 * n * m
-        gm = self.g.ravel()
-        diag = st["wire_diag"].copy()
-        diag[: n * m] += gm
-        diag[n * m :] += gm
-        vals = np.concatenate([-gm, -gm, st["wire_vals"], diag])
-        matrix = coo_matrix(
-            (vals, (st["rows"], st["cols"])), shape=(size, size)
-        )
-        self._lu = splu(csc_matrix(matrix))
+        self._factor = None
 
     def update_conductance(self, conductance: np.ndarray) -> None:
-        """Replace the device conductances and invalidate the factors.
-
-        The sparsity structure and the cg preconditioner both survive:
-        the structure because it depends only on the geometry, the
-        preconditioner because Monte-Carlo draws are perturbations of
-        the same nominal state (re-anchor it via
-        :meth:`set_preconditioner_state` after a genuine reprogram).
-        """
+        """Replace the device conductances and drop the factorisation."""
         conductance = np.asarray(conductance, dtype=float)
         if conductance.shape != (self.n, self.m):
             raise ValueError(
                 f"expected shape {(self.n, self.m)}, got {conductance.shape}"
             )
-        if np.any(conductance <= 0):
-            raise ValueError("conductances must be strictly positive")
-        self.g = conductance
-        self._lu = None
-        self._schur = None
+        self.g = check_circuit(conductance, self.r_wire)
+        self._factor = None
 
     # ------------------------------------------------------------------
     # solving
     # ------------------------------------------------------------------
-    def _get_lu(self):
-        if self._lu is None:
-            self._assemble_lu()
-        return self._lu
-
-    def _get_schur(self) -> SchurFactor:
-        if self._schur is None:
-            self._schur = SchurFactor(self.g, self.r_wire)
-        return self._schur
-
-    def _get_precond(self) -> SchurFactor:
-        if self._precond is None:
-            self._precond = SchurFactor(self._precond_g, self.r_wire)
-        return self._precond
+    def _get_factor(self):
+        if self._factor is None:
+            self._factor = self._factor_type(self.g, self.r_wire)
+        return self._factor
 
     def _solve_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """Dispatch ``A x = rhs`` (single or multi-RHS) to the solver."""
-        if self.solver == "schur":
-            return self._get_schur().solve(rhs)
-        if self.solver == "cg":
-            single = rhs.ndim == 1
-            block = rhs[:, None] if single else rhs
-            v, iterations = cg_nodal_solve(
-                self.g[None], block[None], self.r_wire, self._get_precond()
-            )
-            self.last_cg_iterations = iterations
-            return v[0][:, 0] if single else v[0]
-        return self._get_lu().solve(rhs)
+        """Node voltages for ``A x = rhs`` (single or multi-RHS)."""
+        return self._get_factor().solve(rhs)
 
     def solve(
         self, v_rows: np.ndarray, v_cols: np.ndarray | float = 0.0
@@ -327,25 +158,10 @@ class CrossbarNetwork:
         if v_rows.shape != (n,):
             raise ValueError(f"v_rows must have shape ({n},), got {v_rows.shape}")
         v_cols = np.broadcast_to(np.asarray(v_cols, dtype=float), (m,))
-        g_w = 1.0 / self.r_wire
-        st = self._get_structure()
-
-        rhs = np.zeros(2 * n * m)
-        rhs[st["left"]] = v_rows * g_w
-        rhs[st["bottom"]] += v_cols * g_w
-
-        v = self._solve_rhs(rhs)
-        v_top = v[: n * m].reshape(n, m)
-        v_bottom = v[n * m :].reshape(n, m)
-        dv = v_top - v_bottom
-        i_dev = dv * self.g
-        i_col = (v_bottom[n - 1, :] - v_cols) * g_w
+        batch = self.solve_batch(v_rows[None, :], v_cols[None, :])
         return NodalSolution(
-            v_top=v_top,
-            v_bottom=v_bottom,
-            device_voltage=dv,
-            device_current=i_dev,
-            column_current=i_col,
+            **{f.name: getattr(batch, f.name)[0]
+               for f in dataclasses.fields(NodalSolution)}
         )
 
     def solve_batch(
@@ -354,10 +170,10 @@ class CrossbarNetwork:
         """Solve a batch of driver configurations against one factor.
 
         The multi-right-hand-side companion of :meth:`solve`: all ``B``
-        configurations share the factorisation (or the blocked cg
-        iteration), which is what makes V/2 program-mode sweeps and
-        defect pretests cheap -- they stop paying the solve dispatch
-        per probed cell.
+        configurations share the factorisation, which is what makes
+        V/2 program-mode sweeps and defect pretests cheap -- they stop
+        paying the solve dispatch per probed cell.  Each configuration's
+        answer is bit-identical to solving it alone.
 
         Args:
             v_rows: Word-line driver voltages, shape ``(B, n)``.
@@ -378,19 +194,12 @@ class CrossbarNetwork:
         v_cols = np.broadcast_to(
             np.asarray(v_cols, dtype=float), (batch, m)
         )
-        g_w = 1.0 / self.r_wire
-        st = self._get_structure()
-
-        rhs = np.zeros((2 * n * m, batch))
-        rhs[st["left"], :] = v_rows.T * g_w
-        rhs[st["bottom"], :] += v_cols.T * g_w
-
-        v = self._solve_rhs(rhs)
+        v = self._solve_rhs(_drive_rhs(n, m, self.r_wire, v_rows, v_cols))
         v_top = v[: n * m].T.reshape(batch, n, m)
         v_bottom = v[n * m :].T.reshape(batch, n, m)
         dv = v_top - v_bottom
         i_dev = dv * self.g[None, :, :]
-        i_col = (v_bottom[:, n - 1, :] - v_cols) * g_w
+        i_col = (v_bottom[:, n - 1, :] - v_cols) / self.r_wire
         return NodalSolution(
             v_top=v_top,
             v_bottom=v_bottom,
@@ -407,7 +216,7 @@ class CrossbarNetwork:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
-        return self.solve(x * v_read, 0.0).column_current
+        return self.read_batch(x, v_read)
 
     def read_batch(
         self,
@@ -417,12 +226,12 @@ class CrossbarNetwork:
     ) -> np.ndarray:
         """Column output currents for a batch of read inputs.
 
-        One factorisation (or blocked cg solve) serves the whole batch:
-        the factor depends only on the conductance state, so ``s``
-        inputs are solved as ``s`` right-hand sides.  This is what
-        makes batched inference serving cheap -- the dominant cost of a
-        nodal read is paid once per programmed state rather than once
-        per query.
+        Reads never solve for node voltages: the factorisation's read
+        transfer (:attr:`repro.xbar.solvers.SchurFactor.read_transfer`)
+        maps drives to column currents, so once a programmed state is
+        factorised a query costs one small product.  That is what
+        makes batched inference serving cheap, and each input's
+        currents are bit-identical to reading it alone.
 
         Args:
             x: Inputs in [0, 1], shape ``(s, n)`` or a single ``(n,)``.
@@ -430,9 +239,9 @@ class CrossbarNetwork:
             v_cols: Bit-line termination voltages: scalar (0 = the
                 virtual-ground sensing default), ``(m,)`` shared by the
                 batch, or per-input ``(s, m)``.  Matches the looped
-                :meth:`read`/:meth:`solve` semantics exactly -- the
-                returned current is the current *into* each
-                termination, ``(v_bottom - v_cols) * g_w``.
+                :meth:`solve` semantics -- the returned current is the
+                current *into* each termination,
+                ``(v_bottom - v_cols) * g_w``.
 
         Returns:
             Currents, shape ``(s, m)`` (or ``(m,)`` for 1-D input).
@@ -444,19 +253,11 @@ class CrossbarNetwork:
             raise ValueError(
                 f"inputs must have {self.n} features, got {xb.shape[1]}"
             )
-        n, m = self.n, self.m
-        batch = xb.shape[0]
         v_cols = np.broadcast_to(
-            np.asarray(v_cols, dtype=float), (batch, m)
+            np.asarray(v_cols, dtype=float), (xb.shape[0], self.m)
         )
-        g_w = 1.0 / self.r_wire
-        st = self._get_structure()
-        rhs = np.zeros((2 * n * m, batch))
-        rhs[st["left"], :] = (xb * v_read).T * g_w
-        rhs[st["bottom"], :] += v_cols.T * g_w
-        v = self._solve_rhs(rhs)
-        i_col = (v[st["bottom"], :] - v_cols.T) * g_w
-        return i_col[:, 0] if single else i_col.T
+        i_col = self._get_factor().read(xb * v_read, v_cols)
+        return i_col[0] if single else i_col
 
     def program_voltages(
         self, row: int, col: int, v_prog: float
@@ -514,3 +315,57 @@ class CrossbarNetwork:
         """Zero-wire-resistance reference: ``I = v_read * (x @ G)``."""
         x = np.asarray(x, dtype=float)
         return v_read * (x @ self.g)
+
+
+def _laplacian(g: np.ndarray, r_wire: float) -> csc_matrix:
+    """The full ``2*n*m`` nodal conductance matrix, sparse CSC."""
+    n, m = g.shape
+    nm = n * m
+    g_w = 1.0 / r_wire
+    deg_top, deg_bottom = _wire_degrees(n, m)
+    node = np.arange(nm).reshape(n, m)
+    word = node[:, :-1].ravel()  # top node joined to its right neighbour
+    bit = nm + node[:-1, :].ravel()  # bottom node joined to the one below
+    a = np.concatenate([node.ravel(), word, bit])
+    b = np.concatenate([nm + node.ravel(), word + 1, bit + m])
+    off = np.concatenate([-g.ravel(), np.full(word.size + bit.size, -g_w)])
+    diag = np.concatenate([
+        (g + g_w * deg_top).ravel(), (g + g_w * deg_bottom[:, None]).ravel()
+    ])
+    index = np.arange(2 * nm)
+    return csc_matrix(
+        (np.concatenate([off, off, diag]),
+         (np.concatenate([a, b, index]), np.concatenate([b, a, index]))),
+        shape=(2 * nm, 2 * nm),
+    )
+
+
+class _SpluFactor:
+    """Generic sparse LU (``splu``) of the full nodal system."""
+
+    def __init__(self, conductance: np.ndarray, r_wire: float):
+        self.g = conductance
+        self.r_wire = r_wire
+        self._lu = splu(_laplacian(conductance, r_wire))
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._lu.solve(np.asarray(rhs, dtype=float))
+
+    def read(self, v_rows: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
+        n, m = self.g.shape
+        v = self.solve(_drive_rhs(n, m, self.r_wire, v_rows, v_cols))
+        return (v[2 * n * m - m :].T - v_cols) / self.r_wire
+
+
+class ReferenceNetwork(CrossbarNetwork):
+    """The same circuit answered by a generic sparse LU (``splu``).
+
+    Every :class:`CrossbarNetwork` method, solved by factorising the
+    full ``2*n*m`` Laplacian instead of the Schur complement.  It is
+    the reference the exact path is tested and benchmarked against,
+    not a serving path: ``splu``'s multi-right-hand-side solve takes a
+    different BLAS route from its single-column one, so its batched
+    answers can differ from looped ones in the last bits.
+    """
+
+    _factor_type = _SpluFactor

@@ -13,17 +13,19 @@ into ``m`` independent *bit-line ladders* (tridiagonal over the ``n``
 rows, terminated at the bottom end) -- the same ladder primitive
 :mod:`repro.xbar.ir_drop` solves -- and ``G_d = diag(g)`` couples the
 planes only through the per-cell memristor conductances.  This module
-exploits that structure three ways:
+exploits that structure twice:
 
-* :class:`SchurFactor` -- eliminate the top plane exactly.  With
-  ``W_i = A_t,i^-1 diag(g_i)`` computed per row by O(m) banded solves,
+* :class:`SchurFactor` -- the one exact solver.  It eliminates the top
+  plane (one tridiagonal factorisation of all ``n`` word lines), and
   the Schur complement ``S = A_b - G_d A_t^-1 G_d`` over the bottom
   plane is symmetric positive definite and *banded with bandwidth
   exactly m* in ``i*m + j`` ordering, so a banded Cholesky of the
-  reduced ``n*m`` system replaces the generic sparse LU of the
-  ``2*n*m`` one.
-* :func:`cg_nodal_solve` -- the full system is SPD, so conjugate
-  gradients with a matrix-free operator apply
+  reduced ``n*m`` system replaces a generic sparse LU of the ``2*n*m``
+  one.  Every LAPACK call it makes solves each right-hand side on its
+  own, and reads go through a per-state transfer matrix, so a batched
+  answer is bit-identical to the looped one.
+* :func:`cg_nodal_solve` -- the Monte-Carlo kernel.  The full system is
+  SPD, so conjugate gradients with a matrix-free operator apply
   (:func:`nodal_operator_apply`) solves it iteratively.  Preconditioned
   with a :class:`SchurFactor` of the *nominal* conductance state, one
   factorisation serves every variation draw of a Monte-Carlo chunk:
@@ -31,32 +33,32 @@ exploits that structure three ways:
   over all trials and right-hand sides at once, with converged systems
   frozen (masked updates) so each system's trajectory -- and therefore
   its result -- is independent of what it is batched with.
-* :func:`nodal_read_trial_stack` -- the trial-stacked read kernel the
+  :func:`nodal_read_trial_stack` is the trial-stacked read kernel the
   Monte-Carlo engine (:func:`repro.runtime.map_trials_batched`) plugs
-  in: a ``(T, n, m)`` conductance stack and an input batch go in, the
-  ``(T, s, m)`` nodal column currents come out of one blocked solve.
+  in.
 
 Accuracy contract (tested in ``tests/xbar/test_solvers.py`` and
-documented in ``docs/ir_drop.md``): ``"lu"`` (generic ``splu``) is the
-bit-exact oracle; ``"schur"`` agrees with it to <= 1e-9 relative error
-on column currents; ``"cg"`` runs a fixed, deterministic iteration
-(tolerance :data:`CG_TOL` on the relative residual, iteration cap
-:data:`CG_MAX_ITER`, no randomness, no adaptive restarts) and agrees to
-<= :data:`CG_CURRENT_RTOL` relative error on column currents.
+documented in ``docs/ir_drop.md``), measured against the generic
+sparse-LU reference :class:`repro.xbar.nodal.ReferenceNetwork`: the
+Schur path agrees to <= :data:`SCHUR_RTOL` relative error on column
+currents; cg runs a fixed, deterministic iteration (tolerance
+:data:`CG_TOL` on the relative residual, iteration cap
+:data:`CG_MAX_ITER`, no randomness, no adaptive restarts) and agrees
+to <= :data:`CG_CURRENT_RTOL`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import LinAlgError, cholesky_banded, solve_triangular
+from scipy.linalg.lapack import dgttrf, dgttrs, dpbtrs, dtbtrs
 
-from repro.config import NODAL_SOLVERS
 from repro.xbar.ir_drop import IRDropDecomposition, program_factors
 
 __all__ = [
-    "NODAL_SOLVERS",
     "CG_TOL",
     "CG_MAX_ITER",
     "CG_CURRENT_RTOL",
@@ -64,10 +66,10 @@ __all__ = [
     "SchurFactor",
     "CorrectedDecomposition",
     "cg_nodal_solve",
+    "check_circuit",
     "fit_decomposed_correction",
     "nodal_operator_apply",
     "nodal_read_trial_stack",
-    "validate_solver",
 ]
 
 #: Relative-residual convergence tolerance of the CG path.  Fixed (not
@@ -80,23 +82,37 @@ CG_TOL = 1e-13
 #: system execute the identical instruction stream.
 CG_MAX_ITER = 500
 
-#: Documented column-current agreement of the cg path against the lu
-#: oracle (relative error; the schur path holds :data:`SCHUR_RTOL`).
+#: Documented column-current agreement of the cg kernel against the
+#: sparse-LU reference (relative error; Schur holds :data:`SCHUR_RTOL`).
 CG_CURRENT_RTOL = 1e-8
 
-#: Documented column-current agreement of the schur path against the lu
-#: oracle.  The Schur complement is solved by a direct banded Cholesky,
-#: so the only slack is floating-point reassociation, not iteration.
+#: Documented column-current agreement of the Schur path against the
+#: sparse-LU reference.  Both are direct solves, so the only slack is
+#: floating-point reassociation, not iteration.
 SCHUR_RTOL = 1e-9
 
 
-def validate_solver(solver: str) -> str:
-    """Validate a nodal-solver name, returning it for chaining."""
-    if solver not in NODAL_SOLVERS:
-        raise ValueError(
-            f"nodal solver must be one of {NODAL_SOLVERS}, got {solver!r}"
-        )
-    return solver
+def check_circuit(conductance, r_wire: float) -> np.ndarray:
+    """Validate a crossbar's device conductances and wire resistance.
+
+    Both must be finite and strictly positive.  NaN compares False
+    against every bound, so a bare ``g <= 0`` test would let it through
+    to the factorisation.
+
+    Returns:
+        The conductances as a float array.
+    """
+    g = np.asarray(conductance, dtype=float)
+    if not np.all(np.isfinite(g) & (g > 0)):
+        raise ValueError("conductances must be finite and strictly positive")
+    if not (np.isfinite(r_wire) and r_wire > 0):
+        raise ValueError(f"r_wire must be finite and > 0, got {r_wire}")
+    return g
+
+
+def _check_info(routine: str, info: int) -> None:
+    if info != 0:
+        raise LinAlgError(f"LAPACK {routine} failed with info={info}")
 
 
 # ----------------------------------------------------------------------
@@ -162,66 +178,64 @@ def nodal_operator_apply(
 # Schur-complement direct solver
 # ----------------------------------------------------------------------
 class SchurFactor:
-    """Banded Cholesky of the bottom-plane Schur complement.
+    """Exact direct solve of the nodal system by top-plane elimination.
 
-    Eliminating the top plane costs ``n`` tridiagonal solves with ``m``
-    right-hand sides each (O(n*m^2) total, reusing the
-    :func:`repro.xbar.ir_drop._ladder_banded` primitive with the node
-    order reversed, since word lines are driven at their *left* end);
-    what remains is an ``n*m`` SPD system whose bandwidth is exactly
-    ``m`` -- dense ``m x m`` diagonal blocks from ``G_d A_t^-1 G_d``
-    plus the ``-g_w`` bit-line wire band.  For the paper's tall-thin
-    crossbars (784 x 10) that reduced banded factorisation is orders of
-    magnitude cheaper than a generic sparse LU of the full system.
+    The ``n`` word-line ladders form one flat tridiagonal system (the
+    entries joining consecutive word lines are zero), factorised once
+    with LAPACK ``gttrf``; every top-plane solve after that is a
+    ``gttrs``.  Eliminating the top plane leaves an ``n*m`` SPD system
+    whose bandwidth is exactly ``m`` -- dense ``m x m`` diagonal blocks
+    from ``G_d A_t^-1 G_d`` plus the ``-g_w`` bit-line wire band --
+    factorised by a banded Cholesky.  For the paper's tall-thin
+    crossbars (784 x 10) that is far cheaper than a generic sparse LU
+    of the full system; for large square arrays it is not (see
+    ``docs/ir_drop.md``).
+
+    Both LAPACK solves (``gttrs``, ``pbtrs``) treat each right-hand
+    side on its own, so a column's answer never depends on how many
+    other columns share the call.
 
     Args:
-        conductance: Device conductances ``(n, m)``, strictly positive.
-        r_wire: Wire segment resistance (> 0).
+        conductance: Device conductances ``(n, m)``, finite and
+            strictly positive.
+        r_wire: Wire segment resistance (finite, > 0).
     """
 
     def __init__(self, conductance: np.ndarray, r_wire: float):
         g = np.asarray(conductance, dtype=float)
         if g.ndim != 2:
             raise ValueError("conductance must be a 2-D matrix")
-        if np.any(g <= 0):
-            raise ValueError("conductances must be strictly positive")
-        if r_wire <= 0:
-            raise ValueError(f"r_wire must be > 0, got {r_wire}")
-        self.g = g
+        self.g = check_circuit(g, r_wire)
         self.n, self.m = g.shape
         self.r_wire = float(r_wire)
         n, m = self.n, self.m
         nm = n * m
         g_w = 1.0 / self.r_wire
+        deg_top, deg_bottom = _wire_degrees(n, m)
 
-        # Word-line ladders in reversed coordinates (_ladder_banded
-        # terminates at its *last* node, word lines drive their first),
-        # stacked into ONE flat tridiagonal system: the ladders are
-        # decoupled, so concatenating their banded storages -- each
-        # block's boundary super/sub-diagonal entries are zero -- lets a
-        # single solve_banded call answer all n of them at once instead
-        # of n Python-dispatched LAPACK calls (cf. _ladder_banded).
-        grev = g[:, ::-1]
-        ab_flat = np.zeros((3, n, m))
-        ab_flat[1] = grev + 2.0 * g_w
-        ab_flat[1, :, 0] = grev[:, 0] + g_w
-        ab_flat[0, :, 1:] = -g_w
-        ab_flat[2, :, :-1] = -g_w
-        self._ab_top_flat = ab_flat.reshape(3, nm)
-        self._grev = grev
+        off = np.full((n, m), -g_w)
+        off[:, -1] = 0.0  # word lines are not joined to each other
+        off = off.ravel()[:-1]
+        # scipy's gttrf wrapper rejects systems of order < 3: pad tiny
+        # arrays with decoupled unit nodes.
+        self._top_pad = max(0, 3 - nm)
+        off = np.concatenate([off, np.zeros(self._top_pad)])
+        diag = np.concatenate(
+            [(g + g_w * deg_top).ravel(), np.ones(self._top_pad)]
+        )
+        *self._top_lu, info = dgttrf(off, diag, off)
+        _check_info("gttrf", info)
 
-        # Dense diagonal blocks of S = A_b - G_d A_t^-1 G_d.  In the
-        # reversed frame M'_i = D' L_i^-1 D'; flipping both axes maps
-        # it back to column order.  One blocked solve: RHS column j
-        # carries grev[i, j] * e_j for every block i simultaneously.
-        rhs_diag = np.zeros((nm, m))
-        rhs_diag[np.arange(nm), np.tile(np.arange(m), n)] = grev.ravel()
-        y = solve_banded((1, 1), self._ab_top_flat, rhs_diag)
-        blocks = (grev[:, :, None] * y.reshape(n, m, m))[:, ::-1, ::-1]
-        _, deg_bottom = _wire_degrees(n, m)
-        s_diag = g + g_w * deg_bottom[:, None]
-        s_blocks = -blocks
-        s_blocks[:, np.arange(m), np.arange(m)] += s_diag
+        # Dense diagonal blocks of S = A_b - G_d A_t^-1 G_d from one
+        # blocked solve: right-hand side j carries g[i, j] * e_(i, j)
+        # for every word line i at once.
+        rhs = np.zeros((nm, m), order="F")
+        rhs[np.arange(nm), np.tile(np.arange(m), n)] = g.ravel()
+        s_blocks = self._top_solve(rhs).reshape(n, m, m)
+        s_blocks *= -g[:, :, None]
+        s_blocks[:, np.arange(m), np.arange(m)] += (
+            g + g_w * deg_bottom[:, None]
+        )
 
         # Lower banded storage: ab[d, k] = S[k + d, k].  Within-block
         # entries come from the dense blocks' sub-diagonals; the only
@@ -234,18 +248,22 @@ class SchurFactor:
         if n > 1:
             ab_s[m, : n - 1, :] = -g_w
         self._cholesky = cholesky_banded(
-            ab_s.reshape(m + 1, n * m), lower=True
+            ab_s.reshape(m + 1, nm), lower=True, check_finite=False
         )
 
     def _top_solve(self, b: np.ndarray) -> np.ndarray:
-        """``A_t^-1 b`` for ``b`` of shape ``(n, m, k)``.
+        """``A_t^-1 b`` for ``b`` of shape ``(n*m, k)``."""
+        if self._top_pad:
+            b = np.concatenate([b, np.zeros((self._top_pad, b.shape[1]))])
+        x, info = dgttrs(*self._top_lu, b)
+        _check_info("gttrs", info)
+        return x[: self.n * self.m]
 
-        One flat banded solve covers all ``n`` decoupled ladders.
-        """
-        n, m = self.n, self.m
-        br = np.ascontiguousarray(b[:, ::-1, :]).reshape(n * m, -1)
-        y = solve_banded((1, 1), self._ab_top_flat, br)
-        return y.reshape(n, m, -1)[:, ::-1, :]
+    def _bottom_solve(self, b: np.ndarray) -> np.ndarray:
+        """``S^-1 b`` for ``b`` of shape ``(n*m, k)``."""
+        x, info = dpbtrs(self._cholesky, b, lower=1)
+        _check_info("pbtrs", info)
+        return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve the full ``2*n*m`` nodal system.
@@ -261,24 +279,79 @@ class SchurFactor:
         rhs = np.asarray(rhs, dtype=float)
         single = rhs.ndim == 1
         b = rhs[:, None] if single else rhs
-        n, m = self.n, self.m
-        nm = n * m
+        nm = self.n * self.m
         if b.shape[0] != 2 * nm:
             raise ValueError(
                 f"rhs must have {2 * nm} entries, got {b.shape[0]}"
             )
-        b_t = b[:nm].reshape(n, m, -1)
-        b_b = b[nm:].reshape(n, m, -1)
-        gc = self.g[:, :, None]
-        y = self._top_solve(b_t)
-        rhs_s = (b_b + gc * y).reshape(nm, -1)
-        v_b = cho_solve_banded((self._cholesky, True), rhs_s)
-        v_b = v_b.reshape(n, m, -1)
+        b_t, b_b = b[:nm], b[nm:]
+        gc = self.g.reshape(nm, 1)
+        v_b = self._bottom_solve(b_b + gc * self._top_solve(b_t))
         v_t = self._top_solve(b_t + gc * v_b)
-        out = np.concatenate(
-            [v_t.reshape(nm, -1), v_b.reshape(nm, -1)], axis=0
-        )
+        out = np.concatenate([v_t, v_b], axis=0)
         return out[:, 0] if single else out
+
+    @functools.cached_property
+    def read_transfer(self) -> tuple[np.ndarray, np.ndarray]:
+        """Linear maps from read drives to column currents.
+
+        A read drives word line ``i`` at ``v_rows[i]`` and holds bit
+        line ``c`` at ``v_cols[c]``; the circuit is linear, so the
+        current into each termination is exactly
+        ``v_rows @ t_rows + v_cols @ t_cols``.  ``t_rows`` (``(n, m)``)
+        is the crossbar's effective conductance matrix -- ``g`` itself
+        as ``r_wire -> 0``.
+
+        Only the bottom plane is solved for: with ``z_i = A_t,i^-1 e_0``
+        the response of word line ``i`` to a unit drive at its left
+        end, and ``u = S^-1 E`` for the unit vectors ``E`` of the
+        bottom-row nodes (``S`` is symmetric, so column ``c`` of ``u``
+        weighs every bottom-plane source by its effect on terminal
+        ``c``), ``t_rows[i, c] = g_w^2 sum_j u[i, j, c] g[i, j] z[i, j]``.
+        That costs ``m`` banded back-substitutions once per state, after
+        which a read is one ``(s, n) @ (n, m)`` product.
+
+        Returns:
+            ``(t_rows, t_cols)`` of shapes ``(n, m)`` and ``(m, m)``.
+        """
+        n, m = self.n, self.m
+        nm = n * m
+        g_w = 1.0 / self.r_wire
+        e_left = np.zeros((n, m))
+        e_left[:, 0] = 1.0
+        z = self._top_solve(e_left.reshape(nm, 1)).reshape(n, m)
+        # u = L^-T L^-1 E with S = L L^T.  E is zero above the last
+        # block, so the forward half reduces to inverting that block of
+        # L; only the back-substitution runs over the whole band.
+        band = self._cholesky[:, nm - m :]
+        l_last = np.zeros((m, m))
+        for d in range(m):
+            l_last[np.arange(d, m), np.arange(m - d)] = band[d, : m - d]
+        w = np.zeros((nm, m), order="F")
+        w[nm - m :] = solve_triangular(l_last, np.eye(m), lower=True)
+        u, info = dtbtrs(self._cholesky, w, uplo="L", trans="T")
+        _check_info("tbtrs", info)
+        u = u.reshape(n, m, m)
+        t_rows = (g_w * g_w) * np.einsum("ijc,ij->ic", u, self.g * z)
+        t_cols = g_w * (g_w * u[n - 1] - np.eye(m))
+        return t_rows, t_cols
+
+    def read(self, v_rows: np.ndarray, v_cols: np.ndarray) -> np.ndarray:
+        """Column currents of a batch of reads, from :attr:`read_transfer`.
+
+        Args:
+            v_rows: Word-line drive voltages, shape ``(s, n)``.
+            v_cols: Bit-line termination voltages, shape ``(s, m)``.
+
+        Returns:
+            Currents into each termination, shape ``(s, m)``.  Each row
+            is a fixed-order sum over its own inputs (einsum, not BLAS),
+            so it does not depend on the other rows of the batch.
+        """
+        t_rows, t_cols = self.read_transfer
+        return np.einsum(
+            "sn,nm->sm", np.ascontiguousarray(v_rows), t_rows
+        ) + np.einsum("sm,mc->sc", np.ascontiguousarray(v_cols), t_cols)
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +477,6 @@ def _nodal_read_trial_stack_host(
     x: np.ndarray,
     r_wire: float,
     v_read: float,
-    solver: str,
     precond_g: np.ndarray | None,
     tol: float,
     max_iter: int,
@@ -415,10 +487,7 @@ def _nodal_read_trial_stack_host(
         raise ValueError(
             f"g_stack must be (T, n, m), got shape {g_stack.shape}"
         )
-    if np.any(g_stack <= 0):
-        raise ValueError("conductances must be strictly positive")
-    if r_wire <= 0:
-        raise ValueError(f"r_wire must be > 0, got {r_wire}")
+    check_circuit(g_stack, r_wire)
     t_count, n, m = g_stack.shape
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[1] != n:
@@ -428,27 +497,15 @@ def _nodal_read_trial_stack_host(
     g_w = 1.0 / r_wire
     nm = n * m
     bottom_row = slice(nm + (n - 1) * m, nm + n * m)
-    if solver == "cg":
-        if precond_g is None:
-            precond_g = np.mean(g_stack, axis=0)
-        precond = SchurFactor(precond_g, r_wire)
-        rhs = _read_rhs_stack(x, t_count, n, m, g_w, v_read)
-        v, _ = cg_nodal_solve(
-            g_stack, rhs, r_wire, precond, tol=tol, max_iter=max_iter
-        )
-        # Bit lines are virtually grounded during reads.
-        return np.transpose(v[:, bottom_row, :], (0, 2, 1)) * g_w
-    if solver == "schur":
-        rhs = _read_rhs_stack(x, 1, n, m, g_w, v_read)[0]
-        out = np.empty((t_count, x.shape[0], m))
-        for t in range(t_count):
-            v = SchurFactor(g_stack[t], r_wire).solve(rhs)
-            out[t] = v[bottom_row, :].T * g_w
-        return out
-    raise ValueError(
-        "trial-stacked reads support solver 'cg' or 'schur'; for the "
-        f"'lu' oracle use CrossbarNetwork per trial (got {solver!r})"
+    if precond_g is None:
+        precond_g = np.mean(g_stack, axis=0)
+    precond = SchurFactor(precond_g, r_wire)
+    rhs = _read_rhs_stack(x, t_count, n, m, g_w, v_read)
+    v, _ = cg_nodal_solve(
+        g_stack, rhs, r_wire, precond, tol=tol, max_iter=max_iter
     )
+    # Bit lines are virtually grounded during reads.
+    return np.transpose(v[:, bottom_row, :], (0, 2, 1)) * g_w
 
 
 def nodal_read_trial_stack(
@@ -456,7 +513,6 @@ def nodal_read_trial_stack(
     x,
     r_wire: float,
     v_read: float = 1.0,
-    solver: str = "cg",
     precond_g=None,
     tol: float = CG_TOL,
     max_iter: int = CG_MAX_ITER,
@@ -466,13 +522,12 @@ def nodal_read_trial_stack(
 
     The Monte-Carlo nodal kernel: instead of factorising per trial,
     all ``T`` trials and ``s`` read inputs are solved as one blocked
-    multi-right-hand-side problem (``solver="cg"``, preconditioned by
-    one :class:`SchurFactor` of ``precond_g`` -- pass the nominal,
-    pre-variation conductance state; trial mean when ``None``) or as
-    ``T`` reduced banded factorisations (``solver="schur"``).
+    multi-right-hand-side cg problem, preconditioned by one
+    :class:`SchurFactor` of ``precond_g`` -- pass the nominal,
+    pre-variation conductance state; the trial mean when ``None``.
 
     The kernel is backend-aware (see :mod:`repro.backend`): operands
-    are converted at the host boundary, the sparse solves run host-side
+    are converted at the host boundary, the solves run host-side
     (scipy), and the currents are returned on ``backend``.
 
     Args:
@@ -480,9 +535,8 @@ def nodal_read_trial_stack(
         x: Read inputs in [0, 1], shape ``(s, n)`` (or ``(n,)``).
         r_wire: Wire segment resistance (> 0).
         v_read: Read voltage scale.
-        solver: ``"cg"`` or ``"schur"``.
-        precond_g: Nominal conductance state for the shared cg
-            preconditioner (ignored by ``"schur"``).
+        precond_g: Nominal conductance state for the shared
+            preconditioner.
         tol: CG relative-residual tolerance.
         max_iter: CG iteration cap.
         backend: Array namespace of the returned currents.
@@ -498,7 +552,6 @@ def nodal_read_trial_stack(
         bk.to_numpy(bk.asarray(x)),
         r_wire,
         v_read,
-        solver,
         None if precond_g is None else bk.to_numpy(bk.asarray(precond_g)),
         tol,
         max_iter,

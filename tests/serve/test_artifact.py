@@ -118,3 +118,36 @@ class TestRoundTrip:
         assert np.array_equal(
             pair.positive.array.conductance, vortex_artifact.g_pos
         )
+
+    def test_legacy_nodal_solver_key_is_dropped_on_load(
+        self, vortex_artifact
+    ):
+        # Snapshots written while the nodal solve was selectable record
+        # "nodal_solver": null in their crossbar metadata.
+        crossbar = vortex_artifact.metadata["crossbar"]
+        legacy = dataclasses.replace(
+            vortex_artifact,
+            metadata={
+                **vortex_artifact.metadata,
+                "crossbar": {**crossbar, "nodal_solver": None},
+            },
+        )
+        pair = legacy.build_pair()
+        assert dataclasses.asdict(pair.positive.config) == crossbar
+        x = vortex_artifact.probes
+        assert np.array_equal(
+            InferenceEngine(pair, mapping=legacy.mapping).forward(x),
+            InferenceEngine.from_artifact(vortex_artifact).forward(x),
+        )
+
+    def test_other_unknown_crossbar_keys_still_fail(self, vortex_artifact):
+        crossbar = vortex_artifact.metadata["crossbar"]
+        bogus = dataclasses.replace(
+            vortex_artifact,
+            metadata={
+                **vortex_artifact.metadata,
+                "crossbar": {**crossbar, "wire_material": "cu"},
+            },
+        )
+        with pytest.raises(TypeError, match="wire_material"):
+            bogus.build_pair()

@@ -14,13 +14,22 @@ def random_conductance(n, m, seed=0):
 
 
 class TestConstruction:
+    # NaN compares False against every bound, so "<= 0" checks alone
+    # would let it through to a singular factorisation.
     def test_rejects_nonpositive_conductance(self):
-        with pytest.raises(ValueError, match="positive"):
-            CrossbarNetwork(np.zeros((2, 2)), 1.0)
+        network = CrossbarNetwork(np.full((2, 2), 1e-5), 1.0)
+        for bad in (0.0, -1e-5, np.nan, np.inf):
+            g = np.full((2, 2), 1e-5)
+            g[1, 0] = bad
+            with pytest.raises(ValueError, match="positive"):
+                CrossbarNetwork(g, 1.0)
+            with pytest.raises(ValueError, match="positive"):
+                network.update_conductance(g)
 
     def test_rejects_zero_wire_resistance(self):
-        with pytest.raises(ValueError, match="r_wire"):
-            CrossbarNetwork(np.ones((2, 2)) * 1e-5, 0.0)
+        for bad in (0.0, -2.5, np.nan, np.inf):
+            with pytest.raises(ValueError, match="r_wire"):
+                CrossbarNetwork(np.ones((2, 2)) * 1e-5, bad)
 
     def test_rejects_1d_input(self):
         with pytest.raises(ValueError, match="2-D"):
